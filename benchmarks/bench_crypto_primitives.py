@@ -33,8 +33,15 @@ def test_bench_hmac(benchmark):
     benchmark(hmac_digest, b"key" * 8, BLOB_4K)
 
 
-def test_bench_chacha20(benchmark):
-    benchmark(chacha20.chacha20_xor, b"k" * 32, b"n" * 12, BLOB_4K)
+@pytest.mark.parametrize("size", [152, 4096])
+def test_bench_chacha20(benchmark, size):
+    """The lane-parallel kernel at the mean evidence size and at 4 KiB."""
+    benchmark(chacha20.chacha20_xor, b"k" * 32, b"n" * 12, BLOB_4K[:size])
+
+
+def test_bench_chacha20_block(benchmark):
+    """The scalar RFC 8439 reference, one 64-byte block."""
+    benchmark(chacha20.chacha20_block, b"k" * 32, 1, b"n" * 12)
 
 
 def test_bench_aead_seal(benchmark):
@@ -84,10 +91,3 @@ def test_bench_shamir_recover(benchmark):
 
 def test_bench_drbg(benchmark):
     benchmark(RNG.generate, 1024)
-
-
-def test_bench_chacha20_numpy(benchmark):
-    """The vectorized fast path (compare against test_bench_chacha20)."""
-    from repro.crypto import chacha20_np
-
-    benchmark(chacha20_np.chacha20_xor, b"k" * 32, b"n" * 12, BLOB_4K)

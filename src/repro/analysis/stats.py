@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import math
 
-from scipy import stats as sps
-
 from ..errors import ReproError
 
 __all__ = ["wilson_interval", "format_rate", "mean_ci"]
@@ -26,6 +24,8 @@ def wilson_interval(successes: int, trials: int, confidence: float = 0.95) -> tu
         raise ReproError(f"successes {successes} out of range for {trials} trials")
     if not 0 < confidence < 1:
         raise ReproError("confidence must be in (0, 1)")
+    from scipy import stats as sps  # deferred: keeps numpy/scipy off `import repro`
+
     z = float(sps.norm.ppf(0.5 + confidence / 2))
     p = successes / trials
     denom = 1 + z * z / trials
@@ -61,5 +61,7 @@ def mean_ci(samples: list[float], confidence: float = 0.95) -> tuple[float, floa
         return mean, mean, mean
     variance = sum((x - mean) ** 2 for x in samples) / (n - 1)
     sem = math.sqrt(variance / n)
+    from scipy import stats as sps  # deferred: keeps numpy/scipy off `import repro`
+
     t = float(sps.t.ppf(0.5 + confidence / 2, df=n - 1))
     return mean, mean - t * sem, mean + t * sem

@@ -9,10 +9,10 @@ inclusion proofs).
 
 Pure-Python reference implementations are validated against the
 standard library / RFC test vectors in the test suite; hot paths
-dispatch to ``hashlib`` where an equivalent exists.
+dispatch to ``hashlib``/``hmac`` where an equivalent exists.
 """
 
-from . import aead, batch, cache, chacha20, chacha20_np, dh, drbg, dsa, hashes, hmac_, kem, merkle, numbers, pki, primes, rsa, shamir
+from . import aead, batch, cache, chacha20, dh, drbg, dsa, hashes, hmac_, kem, merkle, numbers, pki, primes, rsa, shamir
 from .batch import BatchLedger, BatchProof, EvidenceBatcher, SealedBatch, verify_batch_proof
 from .cache import CryptoCaches, LruCache, crypto_caches
 from .drbg import HmacDrbg
@@ -37,7 +37,6 @@ __all__ = [
     "LruCache",
     "crypto_caches",
     "chacha20",
-    "chacha20_np",
     "dh",
     "drbg",
     "dsa",

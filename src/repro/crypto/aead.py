@@ -13,8 +13,7 @@ from time import perf_counter
 
 from ..errors import CryptoError, DecryptionError
 from . import instrument as _instrument
-from .chacha20 import KEY_SIZE, NONCE_SIZE
-from .chacha20_np import chacha20_xor  # vectorized; bit-identical to the reference
+from .chacha20 import KEY_SIZE, NONCE_SIZE, chacha20_xor
 from .hmac_ import constant_time_equals, hmac_digest
 
 __all__ = ["seal", "open_", "derive_keys", "TAG_SIZE", "OVERHEAD"]

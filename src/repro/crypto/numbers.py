@@ -8,6 +8,8 @@ building blocks for RSA (:mod:`repro.crypto.rsa`), Diffie-Hellman
 
 from __future__ import annotations
 
+import math
+
 from ..errors import CryptoError
 
 __all__ = [
@@ -43,10 +45,10 @@ def modinv(a: int, m: int) -> int:
     """
     if m <= 0:
         raise CryptoError(f"modulus must be positive, got {m}")
-    g, x, _ = egcd(a % m, m)
-    if g != 1:
-        raise CryptoError(f"{a} has no inverse modulo {m} (gcd={g})")
-    return x % m
+    try:
+        return pow(a, -1, m)
+    except ValueError:
+        raise CryptoError(f"{a} has no inverse modulo {m} (gcd={math.gcd(a, m)})") from None
 
 
 def crt_pair(r_p: int, p: int, r_q: int, q: int) -> int:

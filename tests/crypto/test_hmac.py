@@ -44,17 +44,29 @@ class TestRfc4231:
         assert hmac_digest(key, msg, "sha256", pure=True).hex() == expected
 
 
-class TestAgainstStdlib:
-    @pytest.mark.parametrize("name", ["md5", "sha256"])
-    @pytest.mark.parametrize("key_len", [0, 1, 63, 64, 65, 200])
-    def test_key_length_boundaries(self, name, key_len):
-        key, msg = b"k" * key_len, b"boundary message"
-        assert hmac_digest(key, msg, name) == stdlib_hmac.new(key, msg, name).digest()
+# Both paths against the stdlib ``hmac.new``: the default path is the
+# stdlib's one-shot ``hmac.digest``, the ``pure`` path is built from
+# scratch.  Default-path ids stay "<key_len>-<name>".
+KEY_LENGTH_CASES = [
+    pytest.param(key_len, name, pure, id=f"{key_len}-{name}" + ("-pure" if pure else ""))
+    for pure in (False, True)
+    for key_len in (0, 1, 63, 64, 65, 200)
+    for name in ("md5", "sha256")
+]
 
-    @given(st.binary(max_size=128), st.binary(max_size=512))
+
+class TestAgainstStdlib:
+    @pytest.mark.parametrize("key_len,name,pure", KEY_LENGTH_CASES)
+    def test_key_length_boundaries(self, key_len, name, pure):
+        key, msg = b"k" * key_len, b"boundary message"
+        expected = stdlib_hmac.new(key, msg, name).digest()
+        assert hmac_digest(key, msg, name, pure=pure) == expected
+
+    @given(st.binary(max_size=128), st.binary(max_size=512), st.booleans())
     @settings(max_examples=50)
-    def test_random(self, key, msg):
-        assert hmac_digest(key, msg, "sha256") == stdlib_hmac.new(key, msg, "sha256").digest()
+    def test_random(self, key, msg, pure):
+        expected = stdlib_hmac.new(key, msg, "sha256").digest()
+        assert hmac_digest(key, msg, "sha256", pure=pure) == expected
 
 
 class TestVerify:

@@ -2,6 +2,10 @@
 
 import importlib
 import inspect
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -40,7 +44,6 @@ MODULES = [
     "repro.core.protocol",
     "repro.core.transport",
     "repro.crypto.chacha20",
-    "repro.crypto.chacha20_np",
     "repro.crypto.drbg",
     "repro.crypto.dsa",
     "repro.crypto.rsa",
@@ -75,7 +78,29 @@ class TestExports:
             assert hasattr(repro, entry)
 
     def test_version(self):
-        assert repro.__version__ == "1.5.0"
+        assert repro.__version__ == "1.6.0"
+
+    @pytest.mark.skipif(sys.version_info < (3, 11), reason="tomllib is new in 3.11")
+    def test_version_matches_pyproject(self):
+        import tomllib
+
+        pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+        with pyproject.open("rb") as handle:
+            assert tomllib.load(handle)["project"]["version"] == repro.__version__
+
+    def test_import_leaves_numpy_and_scipy_unloaded(self):
+        code = (
+            "import sys\n"
+            "import repro, repro.engine, repro.replication\n"
+            "print(sorted(m for m in ('numpy', 'scipy') if m in sys.modules))\n"
+        )
+        src = Path(repro.__file__).resolve().parent.parent
+        done = subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True, text=True, timeout=120, check=True,
+        )
+        assert done.stdout.strip() == "[]"
 
 
 class TestErrorHierarchy:
