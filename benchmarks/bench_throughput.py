@@ -61,7 +61,7 @@ def test_bench_throughput(benchmark, emit, perf_trajectory):
                 "cache_toggle_signature_identical": sig_on == sig_off,
             },
             notes="tx/sec is wall-clock (the caches' target); latency percentiles "
-            "are simulated seconds from the engine's obs histograms.  Baseline = "
+            "are simulated seconds from the engine's latency sketch.  Baseline = "
             "one fresh uncached deployment per transaction (the pre-engine status "
             "quo, keygen included).",
             meta=run_meta(seed),

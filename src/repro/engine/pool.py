@@ -46,13 +46,6 @@ from ..net.events import Simulator
 from ..net.network import Network
 from ..obs import NULL_OBS, Observability
 from ..obs.profiler import NULL_PROFILER, RegionProfiler
-from ..obs.anomaly import (
-    AnomalyMonitor,
-    BurnRateDetector,
-    QuantileThresholdDetector,
-    RateShiftDetector,
-)
-from ..obs.slo import SLOManager, standard_engine_slos
 
 __all__ = [
     "EngineConfig",
@@ -60,40 +53,7 @@ __all__ = [
     "SessionRecord",
     "PoolResult",
     "SessionPool",
-    "attach_engine_detectors",
 ]
-
-
-def attach_engine_detectors(
-    monitor: AnomalyMonitor, metrics, retransmit_reader
-) -> AnomalyMonitor:
-    """Subscribe the standard pool detectors to the engine metrics.
-
-    One poll window is one ``sample_interval`` slice of the driving
-    loop: retransmission storms, tail-latency blowups, and session SLO
-    burn all fire while the pool is still running — the live complement
-    to the post-mortem forensics layer.
-    """
-    latency = metrics.histogram("engine.session_latency_seconds")
-    sessions_ok = metrics.counter("engine.sessions_finished", outcome="ok")
-    sessions_bad = metrics.counter("engine.sessions_finished", outcome="failed")
-    monitor.add(RateShiftDetector(
-        "retransmit-rate", retransmit_reader,
-        subject="engine.retransmits",
-        window=10, factor=4.0, min_events=4,
-    ))
-    monitor.add(QuantileThresholdDetector(
-        "latency-p99", lambda: latency,
-        subject="engine.session_latency_seconds",
-        q=0.99, threshold=5.0, window=10, min_count=5,
-    ))
-    monitor.add(BurnRateDetector(
-        "session-slo",
-        lambda: sessions_ok.value, lambda: sessions_bad.value,
-        subject="engine.sessions_finished",
-        slo=0.95, threshold=2.0, window=10, min_events=5,
-    ))
-    return monitor
 
 
 def _seed_bytes(seed: bytes | str) -> bytes:
@@ -114,8 +74,6 @@ class EngineConfig:
     use_caches: bool = True
     observe: bool = True
     sample_interval: float = 0.5  # in-flight gauge sampling period (sim s)
-    anomaly: bool = True  # poll anomaly detectors per sample (observe only)
-    slo: bool = True  # evaluate the standard engine SLOs (observe only)
     # Merkle-batched evidence: one RSA signature per batch of this many
     # evidence leaves (None = classic per-message signatures).  Batch
     # layout never reaches the wire accounting (the blob is the fixed
@@ -280,12 +238,6 @@ class PoolResult:
     p99_latency: float
     cache_stats: dict[str, dict[str, float]] | None = None
     obs: Observability = NULL_OBS
-    # Anomaly alerts from the sampling loop; telemetry only, excluded
-    # from signature() like the wall-clock timings.
-    alerts: list = dataclass_field(default_factory=list)
-    # End-of-run SLOReport (config.slo); telemetry only, excluded from
-    # signature() like alerts.
-    slo: object | None = None
     # Batched-evidence telemetry ({"batches": n, "leaves": n,
     # "resolved": n, "failed": n}); excluded from signature() — batch
     # layout is a crypto-amortization choice, not simulated behavior.
@@ -394,8 +346,6 @@ class SessionPool:
         self._sessions: dict[str, SessionRecord] = {}
         self._inflight = 0
         self._obs: Observability = NULL_OBS
-        self.monitor: AnomalyMonitor | None = None
-        self.slos: SLOManager | None = None
         self.ledger: BatchLedger | None = None
         # Region profiler: NULL unless config.profile; _run_inner seats
         # a live one before build() so enrollment crypto is attributed.
@@ -463,16 +413,6 @@ class SessionPool:
                     self.ledger,
                     EvidenceBatcher(party.identity, config.batch_size, self.ledger),
                 )
-        self.monitor = None
-        if config.observe and config.anomaly:
-            self.monitor = attach_engine_detectors(
-                self._obs.monitor, self._obs.metrics, self._total_retransmits
-            )
-        self.slos = None
-        if config.observe and config.slo:
-            sim = self.sim
-            self.slos = standard_engine_slos(
-                SLOManager(self._obs.metrics, clock=lambda: sim.now))
 
     def _parties(self):
         assert self.provider is not None and self.ttp is not None
@@ -510,14 +450,6 @@ class SessionPool:
             "resolved": resolved,
             "failed": failed,
         }
-
-    def _total_retransmits(self) -> int:
-        assert self.provider is not None and self.ttp is not None
-        return (
-            self.provider.retransmits_sent
-            + self.ttp.retransmits_sent
-            + sum(c.retransmits_sent for c in self.clients.values())
-        )
 
     def _schedule_workload(self) -> None:
         """Schedule every tenant's uploads inside the arrival window.
@@ -595,10 +527,8 @@ class SessionPool:
             ).inc()
             latency = session.latency
             if latency is not None:
-                obs.metrics.histogram("engine.session_latency_seconds").observe(latency)
-                # The sketch twin of the latency histogram: mergeable
-                # per-shard once the engine shards, and the series the
-                # session-latency SLO reads.
+                # A sketch, not a bucket histogram: per-shard sketches
+                # merge exactly, so p50/p99 agree at every shard count.
                 obs.metrics.sketch("engine.session_latency").observe(latency)
 
     # -- driving -------------------------------------------------------------
@@ -608,15 +538,10 @@ class SessionPool:
         assert self.sim is not None
         sim = self.sim
         obs = self._obs
-        monitor = self.monitor
         while sim.next_event_time() is not None:
             sim.run(until=sim.now + self.config.sample_interval)
             if obs.enabled:
                 obs.metrics.gauge("engine.inflight_sessions").set(self._inflight)
-                if monitor is not None:
-                    monitor.poll(sim.now)
-                if self.slos is not None:
-                    self.slos.poll(sim.now)
 
     def run(self) -> PoolResult:
         """Build, schedule, drive, and summarize one pool run.
@@ -672,8 +597,8 @@ class SessionPool:
         sends = self.network.trace.sends("tpnr.")
         obs = self._obs
         if obs.enabled:
-            latency_hist = obs.metrics.histogram("engine.session_latency_seconds")
-            p50, p99 = latency_hist.quantile(0.50), latency_hist.quantile(0.99)
+            latency = obs.metrics.sketch("engine.session_latency")
+            p50, p99 = latency.quantile(0.50), latency.quantile(0.99)
         else:
             p50 = p99 = 0.0
         return PoolResult(
@@ -690,8 +615,6 @@ class SessionPool:
             p99_latency=p99,
             cache_stats=bundle.stats() if bundle is not None else None,
             obs=obs,
-            alerts=list(self.monitor.alerts) if self.monitor is not None else [],
-            slo=self.slos.report(self.sim.now) if self.slos is not None else None,
             batch_stats=batch_stats,
             profile=profiler if profiler.enabled else None,
         )

@@ -33,11 +33,11 @@ interact with each other, only with the provider/TTP, and
 * provider/TTP tallies are sums of per-event counters, so key-wise
   addition reconstructs them.
 
-Latency quantiles are the one *approximate* surface: the merged result
-reads them from the exact integer merge of the per-shard
-``engine.session_latency`` sketches (shard-merge == global-build is an
-identity on the sketch, see :mod:`repro.obs.sketch`), but they are
-telemetry, excluded from ``signature()``.
+Latency quantiles come from the exact integer merge of the per-shard
+``engine.session_latency`` sketches — the same series an unsharded run
+reads, and shard-merge == global-build is an identity on the sketch
+(see :mod:`repro.obs.sketch`), so p50/p99 agree at every shard count.
+They are telemetry, excluded from ``signature()``.
 
 Shards run as sequential loop-based workers in one process: the
 workload is pure-Python compute (GIL-bound), so process fan-out would
@@ -107,7 +107,6 @@ def merge_pool_results(
     build_seconds = drive_seconds = 0.0
     provider_stats: dict[str, int] = {}
     ttp_stats: dict[str, int] = {}
-    alerts: list = []
     sketches: list[QuantileSketch] = []
     cache_totals: dict[str, dict[str, float]] | None = None
     batch_totals: dict[str, int] | None = None
@@ -124,7 +123,6 @@ def merge_pool_results(
             provider_stats[key] = provider_stats.get(key, 0) + value
         for key, value in result.ttp_stats.items():
             ttp_stats[key] = ttp_stats.get(key, 0) + value
-        alerts.extend(result.alerts)
         if result.obs.enabled:
             sketches.append(result.obs.metrics.sketch("engine.session_latency"))
         if result.cache_stats is not None:
@@ -179,8 +177,6 @@ def merge_pool_results(
         p99_latency=p99,
         cache_stats=cache_totals,
         obs=NULL_OBS,
-        alerts=alerts,
-        slo=None,
         batch_stats=batch_totals,
         shard_summaries=summaries,
         # The exact fold of the per-shard profilers: counts/totals sum,

@@ -16,7 +16,7 @@ in the same process:
 
 Transactions/sec is **wall-clock** (real CPU cost of the simulation
 process — the quantity the caches improve); latency percentiles are
-**simulated** seconds from the engine's obs histograms (deterministic
+**simulated** seconds from the engine's latency sketch (deterministic
 per seed).  The two are reported side by side and never mixed.
 """
 

@@ -748,9 +748,12 @@ class CampaignRunner:
             auditor = ConsistencyAuditor.for_deployment(dep, exclusive_trace=True)
         monitor = None
         if self.anomaly:
-            from ..obs.campaign import attach_campaign_detectors  # lazy: see render()
+            from ..obs.anomaly import AnomalyMonitor  # lazy: see render()
+            from ..obs.campaign import attach_campaign_detectors  # lazy, same reason
 
-            monitor = attach_campaign_detectors(dep.obs.monitor, dep.obs.metrics)
+            monitor = attach_campaign_detectors(
+                AnomalyMonitor(dep.obs.metrics, clock=lambda: dep.sim.now),
+                dep.obs.metrics)
         slos = None
         if self.slo:
             from ..obs.slo import SLOManager, standard_campaign_slos  # lazy: see render()
@@ -838,8 +841,8 @@ class CampaignRunner:
 
     @staticmethod
     def _feed_slo_metrics(dep: "Deployment", outcome: CampaignOutcome) -> None:
-        """Mirror one plan's outcome into the counters/sketches the
-        standard campaign SLIs read.  A good *verdict* is a session
+        """Mirror one plan's outcome into the counters the standard
+        campaign SLIs read.  A good *verdict* is a session
         that reached completed/resolved without hanging; *evidence* is
         good when the end-to-end download verified."""
         metrics = dep.obs.metrics
@@ -851,7 +854,6 @@ class CampaignRunner:
             "campaign.live.evidence",
             outcome="ok" if outcome.download_ok else "bad",
         ).inc()
-        metrics.sketch("campaign.live.latency").observe(outcome.elapsed)
 
     @staticmethod
     def _counters(dep: "Deployment") -> tuple[int, int]:

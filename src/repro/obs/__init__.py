@@ -29,9 +29,9 @@ Exporters (:mod:`repro.obs.exporters`) turn either surface into JSONL,
 Prometheus text, or human-readable tables;
 :mod:`repro.obs.campaign` folds FC1/CR1 campaign reports into
 per-fault-class retry/escalation/latency breakdowns;
-:mod:`repro.obs.sketch` adds mergeable quantile sketches with
-tumbling-window aggregation; :mod:`repro.obs.slo` declares service
-objectives with error budgets and multi-window burn-rate alerting;
+:mod:`repro.obs.sketch` adds exactly-mergeable quantile sketches;
+:mod:`repro.obs.slo` declares service objectives with error budgets
+and multi-window burn-rate alerting;
 :mod:`repro.obs.dashboard` renders the live ``repro slo --watch``
 view of a running campaign; :mod:`repro.obs.profiler` attributes cost
 to hierarchical regions on both clocks (sim + wall), extracts
@@ -112,7 +112,7 @@ from .profiler import (
     shard_utilization,
     top_regions,
 )
-from .sketch import QuantileSketch, SketchAggregator, WindowSnapshot
+from .sketch import QuantileSketch
 from .slo import (
     BurnWindow,
     CounterRatioSLI,
@@ -124,7 +124,6 @@ from .slo import (
     SLOStatus,
     slo_jsonl,
     standard_campaign_slos,
-    standard_engine_slos,
     standard_replication_slos,
 )
 from .span import NULL_TRACER, NullTracer, Span, Tracer
@@ -164,8 +163,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "QuantileSketch",
-    "SketchAggregator",
-    "WindowSnapshot",
     "RegionProfiler",
     "RegionStat",
     "NullRegionProfiler",
@@ -188,7 +185,6 @@ __all__ = [
     "SketchThresholdSLI",
     "slo_jsonl",
     "standard_campaign_slos",
-    "standard_engine_slos",
     "standard_replication_slos",
     "DashboardFrame",
     "budget_bar",
@@ -223,10 +219,6 @@ class Observability:
         self._clock = clock
         self.metrics = MetricsRegistry(clock)
         self.tracer = Tracer(clock)
-        # The anomaly seat: detectors are attached by whoever drives
-        # the deployment (pool, campaign runner); with none attached a
-        # poll is a no-op, so the seat costs nothing until used.
-        self.monitor = AnomalyMonitor(self.metrics, clock)
         # The profiler seat: NULL until enable_profiler() swaps in a
         # live RegionProfiler, so the cost model matches NULL_METRICS.
         self.profiler = NULL_PROFILER
@@ -271,7 +263,6 @@ class NullObservability(Observability):
         self._clock = None
         self.metrics = NULL_METRICS
         self.tracer = NULL_TRACER
-        self.monitor = AnomalyMonitor(NULL_METRICS)
         self.profiler = NULL_PROFILER
 
     def enable_profiler(self, alpha: float | None = None) -> RegionProfiler:

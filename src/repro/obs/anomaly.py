@@ -259,10 +259,10 @@ class AnomalyMonitor:
     """A polled bundle of detectors plus the alert log they feed.
 
     The monitor owns no thread and no timer: whatever drives the
-    simulation (the :class:`~repro.engine.pool.SessionPool` sampling
-    loop, the :class:`~repro.net.faults.CampaignRunner` per-plan hook)
-    calls :meth:`poll` at its own cadence, so alert streams inherit the
-    caller's determinism.
+    simulation (the :class:`~repro.net.faults.CampaignRunner` per-plan
+    hook, or :meth:`~repro.obs.slo.SLOManager.poll`) calls :meth:`poll`
+    at its own cadence, so alert streams inherit the caller's
+    determinism.
     """
 
     def __init__(self, metrics: MetricsRegistry, clock: Callable[[], float] | None = None) -> None:

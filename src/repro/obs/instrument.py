@@ -7,12 +7,9 @@ are deterministic per seed; wall times are not — the wall-time series
 are registered as non-deterministic so
 :meth:`MetricsRegistry.deterministic_snapshot` stays seed-stable.
 
-Two wall-time surfaces coexist for back-compat and for exactness:
-
-* ``crypto.wall_seconds`` — the original flat per-op *sum* counter;
-* ``crypto.op_wall_seconds`` — a per-op :class:`QuantileSketch` series
-  (PR 10), so crypto cost *distributions* merge exactly across shards
-  instead of only their sums.
+Wall time is recorded once, into ``crypto.op_wall_seconds``: a per-op
+:class:`QuantileSketch` series, so crypto cost *distributions* merge
+exactly across shards, and its ``sum`` is the per-op total.
 
 When a :class:`~repro.obs.profiler.RegionProfiler` is attached, each
 call is also recorded as a ``crypto/<op>`` leaf under whatever region
@@ -60,12 +57,10 @@ class CryptoObserver:
     def __init__(self, metrics: MetricsRegistry, profiler=None) -> None:
         self.metrics = metrics
         self.profiler = profiler
-        metrics.mark_nondeterministic("crypto.wall_seconds")
         metrics.mark_nondeterministic("crypto.op_wall_seconds")
 
     def crypto_call(self, op: str, wall_seconds: float) -> None:
         self.metrics.counter("crypto.calls", op=op).inc()
-        self.metrics.counter("crypto.wall_seconds", op=op).inc(wall_seconds)
         self.metrics.sketch("crypto.op_wall_seconds", op=op).observe(
             max(0.0, wall_seconds))
         if self.profiler is not None and op not in COMPOSITE_OPS:
@@ -75,7 +70,7 @@ class CryptoObserver:
         return self.metrics.counter("crypto.calls", op=op).value
 
     def wall_seconds(self, op: str) -> float:
-        return self.metrics.counter("crypto.wall_seconds", op=op).value
+        return self.wall_sketch(op).sum
 
     def wall_sketch(self, op: str):
         """The per-op wall-time distribution (a QuantileSketch)."""

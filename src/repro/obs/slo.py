@@ -45,7 +45,6 @@ __all__ = [
     "SLOManager",
     "slo_jsonl",
     "standard_campaign_slos",
-    "standard_engine_slos",
     "standard_replication_slos",
 ]
 
@@ -428,22 +427,6 @@ def standard_campaign_slos(manager: SLOManager) -> SLOManager:
             m, ("campaign.live.evidence", {"outcome": "ok"}),
             ("campaign.live.evidence", {"outcome": "bad"})),
         description="end-to-end evidence verification succeeds"))
-    return manager
-
-
-def standard_engine_slos(manager: SLOManager) -> SLOManager:
-    """SLOs for :class:`~repro.engine.pool.SessionPool` runs."""
-    m = manager.metrics
-    manager.add(SLOSpec(
-        "session-success", objective=0.95,
-        sli=CounterRatioSLI(
-            m, ("engine.sessions_finished", {"outcome": "ok"}),
-            ("engine.sessions_finished", {"outcome": "failed"})),
-        description="tenant sessions complete and verify"))
-    manager.add(SLOSpec(
-        "session-latency", objective=0.9,
-        sli=SketchThresholdSLI(m, "engine.session_latency", 5.0),
-        description="tenant session finishes within 5 sim-seconds"))
     return manager
 
 

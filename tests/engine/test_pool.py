@@ -51,7 +51,13 @@ class TestCleanRun:
         assert result.bytes_on_wire > result.messages_sent  # >1 byte/msg
 
     def test_latency_percentiles_ordered(self, result):
-        assert 0 < result.p50_latency <= result.p99_latency
+        # Quantiles must be real: ordered, and inside the observed
+        # range (the PERFECT channel makes every latency 0.0, so an
+        # interpolated estimate would fall outside it).
+        latencies = [s.latency for s in result.sessions]
+        assert result.p50_latency <= result.p99_latency
+        for quantile in (result.p50_latency, result.p99_latency):
+            assert min(latencies) <= quantile <= max(latencies)
 
     def test_transaction_ids_are_explicit_and_stable(self, result):
         ids = [s.transaction_id for s in result.sessions]
@@ -76,7 +82,7 @@ class TestDeterminism:
 
     def test_observe_toggle_does_not_move_the_signature(self, directory, result):
         dark = run_pool(SEED, 3, directory=directory, observe=False)
-        assert dark.p50_latency == 0.0  # no histograms without obs
+        assert dark.p50_latency == 0.0  # no latency sketch without obs
         assert dark.signature() == result.signature()
 
 

@@ -62,8 +62,8 @@ class TestAccounting:
             rsa.sign(key, b"x")
         names = {m["name"] for m in reg.deterministic_snapshot()}
         assert "crypto.calls" in names
-        assert "crypto.wall_seconds" not in names
-        assert "crypto.wall_seconds" in {m["name"] for m in reg.snapshot()}
+        assert "crypto.op_wall_seconds" not in names
+        assert "crypto.op_wall_seconds" in {m["name"] for m in reg.snapshot()}
 
     def test_crypto_ops_enumerates_the_instrumented_surface(self):
         assert set(CRYPTO_OPS) == {

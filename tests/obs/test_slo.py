@@ -22,7 +22,6 @@ from repro.obs.slo import (
     SLOSpec,
     slo_jsonl,
     standard_campaign_slos,
-    standard_engine_slos,
     standard_replication_slos,
 )
 
@@ -253,16 +252,12 @@ class TestStandardSets:
         campaign = standard_campaign_slos(manager())
         assert [s.name for s in campaign.specs] == [
             "session-success", "terminal-latency", "evidence-verified"]
-        engine = standard_engine_slos(manager())
-        assert [s.name for s in engine.specs] == [
-            "session-success", "session-latency"]
         replication = standard_replication_slos(manager())
         assert [s.name for s in replication.specs] == [
             "read-integrity", "fork-detection-latency"]
 
     def test_bundles_poll_cleanly_on_an_empty_registry(self):
-        for build in (standard_campaign_slos, standard_engine_slos,
-                      standard_replication_slos):
+        for build in (standard_campaign_slos, standard_replication_slos):
             mgr = build(manager())
             assert mgr.poll() == []
             assert all(s.budget_remaining == 1.0 for s in mgr.statuses())

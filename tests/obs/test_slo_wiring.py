@@ -1,4 +1,4 @@
-"""SLO wiring into the campaign runner, session pool, replicated store.
+"""SLO wiring into the campaign runner and the replicated store.
 
 The cross-layer half of ISSUE 8: each driver evaluates its standard
 SLO set on its own deterministic cadence, attaches the end-of-run
@@ -83,30 +83,6 @@ class TestCampaignWiring:
         runner = CampaignRunner(seed=SEED, observe=True, slo=True)
         report = runner.run(clean_plans(4))
         assert report.slo.meta["polls"] == 4
-
-
-class TestEngineWiring:
-    def test_pool_result_carries_slo_report(self):
-        from repro.engine import run_pool
-
-        result = run_pool(SEED, 3)
-        assert result.slo is not None
-        assert result.slo.status("session-success").budget_remaining == 1.0
-        assert result.slo.burn_alerts() == []
-
-    def test_slo_toggle_does_not_move_the_signature(self):
-        from repro.engine import EngineConfig, SessionPool
-
-        lit = SessionPool(EngineConfig(n_tenants=2), seed=SEED).run()
-        dark = SessionPool(
-            EngineConfig(n_tenants=2, slo=False), seed=SEED).run()
-        assert lit.signature() == dark.signature()
-        assert dark.slo is None
-
-    def test_unobserved_pool_has_no_slo_surface(self):
-        from repro.engine import run_pool
-
-        assert run_pool(SEED, 2, observe=False).slo is None
 
 
 class TestReplicationWiring:
