@@ -81,8 +81,17 @@ class Header:
             raise ProtocolError("nonce must be non-empty")
 
     def to_signed_bytes(self) -> bytes:
-        """Canonical encoding covered by the sender's signature."""
-        return "|".join(
+        """Canonical encoding covered by the sender's signature.
+
+        Encoded once per header: the bytes are cached in the instance
+        ``__dict__`` (not a dataclass field, so equality, ``repr`` and
+        ``asdict`` ignore them); the header is frozen, so they cannot
+        go stale.
+        """
+        cached = self.__dict__.get("_signed_bytes")
+        if cached is not None:
+            return cached
+        encoded = "|".join(
             [
                 "tpnr-header-v1",
                 self.flag.value,
@@ -96,6 +105,8 @@ class Header:
                 self.data_hash.hex(),
             ]
         ).encode()
+        object.__setattr__(self, "_signed_bytes", encoded)
+        return encoded
 
     def wire_size(self) -> int:
         return len(self.to_signed_bytes())

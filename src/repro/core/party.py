@@ -114,6 +114,9 @@ class TpnrParty(Node):
         self.batcher = None  # crypto.batch.EvidenceBatcher | None
         self._pending_batched: list[BatchedEvidence] = []
         self.batched_failures: list[BatchedEvidence] = []
+        # Received batched items whose inclusion proof verified, at
+        # receipt or at settlement (each distinct item counted once).
+        self.batched_verified = 0
 
     # -- batched evidence ----------------------------------------------------
 
@@ -144,22 +147,24 @@ class TpnrParty(Node):
 
     def settle_batched_evidence(self) -> tuple[int, int]:
         """Resolve every pending batched item (end-of-run, after all
-        signers sealed).  Returns ``(resolved, failed)``; failures —
-        items whose batch never sealed or whose proof does not verify —
-        land in :attr:`batched_failures`, never silently accepted.
+        signers sealed).
+
+        Returns this party's run totals ``(verified, failed)``:
+        *verified* counts items proven at receipt or here; *failed*
+        counts every item in :attr:`batched_failures` — a proof invalid
+        at receipt, or a batch that never sealed or a proof that does
+        not verify here.  Failures are never silently accepted.
         """
-        resolved = failed = 0
         pending, self._pending_batched = self._pending_batched, []
         for opened in pending:
             if self._resolve_batched(opened) == "verified":
-                resolved += 1
+                self.batched_verified += 1
             else:
-                failed += 1
                 self.batched_failures.append(opened)
                 self.reject("batched-evidence",
                             f"unsettled or invalid inclusion proof "
                             f"(txn {opened.header.transaction_id})")
-        return resolved, failed
+        return self.batched_verified, len(self.batched_failures)
 
     # -- durability ----------------------------------------------------------
 
@@ -219,8 +224,11 @@ class TpnrParty(Node):
                             f"(txn {opened.header.transaction_id})")
                 self.batched_failures.append(opened)
                 return False
-            if status == "pending" and not self.evidence_store.holds(opened):
-                self._pending_batched.append(opened)
+            if not self.evidence_store.holds(opened):
+                if status == "verified":
+                    self.batched_verified += 1
+                else:
+                    self._pending_batched.append(opened)
         if self.journal is not None and not self.evidence_store.holds(opened):
             self.journal.log_evidence(opened)
         added = self.evidence_store.add(opened)

@@ -73,9 +73,12 @@ class Deployment:
 
         Seals every emitter's partial batch, then resolves each party's
         pending batched evidence against the ledger.  Returns
-        ``{"resolved": n, "failed": n, "batches": n}``.  With *strict*
-        (the default) any failure — an item whose covering batch never
-        sealed or whose inclusion proof does not verify — raises
+        ``{"resolved": n, "failed": n, "batches": n}`` over the whole
+        run: items verified at receipt count as resolved, items whose
+        proof was invalid at receipt as failed.  With *strict* (the
+        default) any failure — an item whose proof was invalid at
+        receipt, whose covering batch never sealed, or whose inclusion
+        proof does not verify — raises
         :class:`~repro.errors.EvidenceError`: unsettled evidence must
         never pass silently.  ``strict=False`` is for dispute flows
         that want to convict from the failures instead.

@@ -9,10 +9,18 @@ recorded in DESIGN.md §5.
 
 from __future__ import annotations
 
+import hashlib
+
 from ..errors import CryptoError
 from .hmac_ import hmac_digest
 
 __all__ = ["HmacDrbg"]
+
+# RFC 2104 pads as byte-translation tables: ``key.translate(_IPAD)``
+# XORs every byte of the zero-padded block-size key with 0x36.
+_IPAD = bytes(b ^ 0x36 for b in range(256))
+_OPAD = bytes(b ^ 0x5C for b in range(256))
+_KEY_PADDING = bytes(32)  # a 32-byte HMAC-SHA256 key fills half a block
 
 
 class HmacDrbg:
@@ -20,6 +28,12 @@ class HmacDrbg:
 
     The update/generate loop follows SP 800-90A's HMAC_DRBG; reseeding
     and prediction resistance are out of scope for a simulator.
+
+    Instantiation runs on :func:`~repro.crypto.hmac_.hmac_digest`.
+    After that the generator keeps SHA-256 states that have already
+    absorbed its current key's inner and outer pad blocks, so each MAC
+    in :meth:`generate` hashes only V (or V‖0x00) — the same bytes
+    ``hmac_digest`` would return, without re-hashing the key per call.
     """
 
     def __init__(self, seed: bytes | str | int, personalization: bytes = b"") -> None:
@@ -27,31 +41,50 @@ class HmacDrbg:
             seed = seed.encode()
         elif isinstance(seed, int):
             seed = seed.to_bytes(max(1, (seed.bit_length() + 7) // 8), "big")
-        self._key = b"\x00" * 32
-        self._value = b"\x01" * 32
-        self._update(seed + personalization)
-        self._reseed_counter = 1
-
-    def _update(self, provided: bytes = b"") -> None:
-        self._key = hmac_digest(self._key, self._value + b"\x00" + provided)
-        self._value = hmac_digest(self._key, self._value)
+        key, value = b"\x00" * 32, b"\x01" * 32
+        provided = seed + personalization
+        key = hmac_digest(key, value + b"\x00" + provided)
+        value = hmac_digest(key, value)
         if provided:
-            self._key = hmac_digest(self._key, self._value + b"\x01" + provided)
-            self._value = hmac_digest(self._key, self._value)
+            key = hmac_digest(key, value + b"\x01" + provided)
+            value = hmac_digest(key, value)
+        self._value = value
+        self._rekey(key)
+
+    def _rekey(self, key: bytes) -> None:
+        block = key + _KEY_PADDING
+        self._inner = hashlib.sha256(block.translate(_IPAD))
+        self._outer = hashlib.sha256(block.translate(_OPAD))
+
+    def _mac(self, message: bytes) -> bytes:
+        """HMAC-SHA256 of *message* under the current key."""
+        inner = self._inner.copy()
+        inner.update(message)
+        outer = self._outer.copy()
+        outer.update(inner.digest())
+        return outer.digest()
 
     def generate(self, n_bytes: int) -> bytes:
         """Return *n_bytes* pseudo-random bytes."""
         if n_bytes < 0:
             raise CryptoError("cannot generate a negative number of bytes")
-        chunks = []
-        produced = 0
-        while produced < n_bytes:
-            self._value = hmac_digest(self._key, self._value)
-            chunks.append(self._value)
-            produced += len(self._value)
-        self._update()
-        self._reseed_counter += 1
-        return b"".join(chunks)[:n_bytes]
+        mac = self._mac
+        value = self._value
+        if n_bytes <= 32:
+            if n_bytes:
+                value = mac(value)
+            out = value[:n_bytes]
+        else:
+            chunks = []
+            for _ in range((n_bytes + 31) // 32):
+                value = mac(value)
+                chunks.append(value)
+            out = b"".join(chunks)[:n_bytes]
+        # SP 800-90A update with no provided data: K = HMAC(K, V‖0x00),
+        # then V = HMAC(K, V) under the new key.
+        self._rekey(mac(value + b"\x00"))
+        self._value = mac(value)
+        return out
 
     # -- convenience draws -------------------------------------------------
 

@@ -422,9 +422,10 @@ class SessionPool:
         """End-of-run batched-evidence settlement (fail-closed).
 
         Seals every party's partial batch, resolves all pending items,
-        and raises :class:`~repro.errors.EvidenceError` if anything
-        fails — a pool run must never report success while holding
-        evidence that cannot be proven.
+        and raises :class:`~repro.errors.EvidenceError` if any item
+        failed, at receipt or here — a pool run must never report
+        success while holding evidence that cannot be proven.  Every
+        published leaf ends up ``resolved`` or ``failed``.
         """
         if self.ledger is None:
             return None

@@ -13,7 +13,7 @@ deliveries and timeouts are just scheduled callbacks.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 from ..errors import NetworkError
@@ -22,14 +22,14 @@ from .simclock import SimClock
 __all__ = ["Simulator", "ScheduledEvent"]
 
 
-@dataclass(order=True)
+@dataclass(eq=False)
 class ScheduledEvent:
-    """Heap entry: (time, seq) ordering, callback excluded from compare."""
+    """A scheduled callback; the heap orders it by ``(time, seq)``."""
 
     time: float
     seq: int
-    callback: Callable[[], None] = field(compare=False)
-    cancelled: bool = field(default=False, compare=False)
+    callback: Callable[[], None]
+    cancelled: bool = False
 
     def cancel(self) -> None:
         """Mark the event so the engine skips it (O(1) lazy deletion)."""
@@ -48,7 +48,9 @@ class Simulator:
 
     def __init__(self, start: float = 0.0, max_events: int = 10_000_000) -> None:
         self.clock = SimClock(start)
-        self._heap: list[ScheduledEvent] = []
+        # Entries are (time, seq, event): seq is unique, so tuple
+        # comparison never reaches the event itself.
+        self._heap: list[tuple[float, int, ScheduledEvent]] = []
         self._seq = 0
         self._max_events = max_events
         self._processed = 0
@@ -71,18 +73,19 @@ class Simulator:
         """Schedule *callback* at absolute simulated time *t*."""
         if t < self.now:
             raise NetworkError(f"cannot schedule in the past (t={t} < now={self.now})")
-        event = ScheduledEvent(time=t, seq=self._seq, callback=callback)
-        self._seq += 1
-        heapq.heappush(self._heap, event)
+        seq = self._seq
+        event = ScheduledEvent(t, seq, callback)
+        self._seq = seq + 1
+        heapq.heappush(self._heap, (t, seq, event))
         return event
 
     def step(self) -> bool:
         """Run the next pending event.  Returns False when idle."""
         while self._heap:
-            event = heapq.heappop(self._heap)
+            t, _, event = heapq.heappop(self._heap)
             if event.cancelled:
                 continue
-            self.clock.advance_to(event.time)
+            self.clock.advance_to(t)
             self._processed += 1
             if self._processed > self._max_events:
                 raise NetworkError(f"event budget exceeded ({self._max_events}); runaway protocol?")
@@ -97,11 +100,11 @@ class Simulator:
         *until* (useful for slicing a simulation into phases).
         """
         while self._heap:
-            head = self._heap[0]
+            t, _, head = self._heap[0]
             if head.cancelled:
                 heapq.heappop(self._heap)
                 continue
-            if until is not None and head.time > until:
+            if until is not None and t > until:
                 break
             self.step()
         if until is not None and self.now < until:
@@ -115,13 +118,13 @@ class Simulator:
         this) stays amortized O(log n).
         """
         while self._heap:
-            head = self._heap[0]
+            t, _, head = self._heap[0]
             if head.cancelled:
                 heapq.heappop(self._heap)
                 continue
-            return head.time
+            return t
         return None
 
     def pending(self) -> int:
         """Number of not-yet-cancelled events still queued."""
-        return sum(1 for e in self._heap if not e.cancelled)
+        return sum(1 for _, _, e in self._heap if not e.cancelled)

@@ -166,7 +166,10 @@ class Network:
                 obs.metrics.counter("net.dropped", reason="channel").inc()
             return
         for delivery in deliveries:
-            delivered = replace(envelope, corrupted=envelope.corrupted or delivery.corrupted)
+            # Envelopes are frozen: a clean delivery carries this one.
+            delivered = envelope
+            if delivery.corrupted and not envelope.corrupted:
+                delivered = replace(envelope, corrupted=True)
             self.sim.schedule(delivery.delay, lambda env=delivered: self._deliver(env))
 
     def _deliver(self, envelope: Envelope) -> None:

@@ -16,8 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import networkx as nx
-
 from ..errors import NetworkError
 from .channel import ChannelSpec
 from .network import Network
@@ -46,6 +44,10 @@ class Topology:
     """A weighted multi-hop graph of hosts and routers."""
 
     def __init__(self) -> None:
+        # networkx is imported where it is used: it costs a sizeable
+        # share of ``import repro`` and only topology users need it.
+        import networkx as nx
+
         self.graph = nx.Graph()
         self._hosts: set[str] = set()
 
@@ -70,6 +72,8 @@ class Topology:
 
     def path(self, src: str, dst: str) -> list[str]:
         """Latency-shortest path between two nodes."""
+        import networkx as nx
+
         try:
             return nx.shortest_path(self.graph, src, dst, weight="weight")
         except (nx.NetworkXNoPath, nx.NodeNotFound) as exc:

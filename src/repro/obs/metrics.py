@@ -46,6 +46,8 @@ DEFAULT_SIZE_BUCKETS = (128, 256, 512, 1024, 4096, 16384, 65536, 262144)
 
 
 def _label_key(labels: dict[str, str]) -> tuple[tuple[str, str], ...]:
+    if len(labels) <= 1:  # nothing to order; most lookups carry one label
+        return tuple((k, str(v)) for k, v in labels.items())
     return tuple(sorted((k, str(v)) for k, v in labels.items()))
 
 

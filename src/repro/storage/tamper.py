@@ -49,6 +49,18 @@ class TamperMode(enum.Enum):
         return self is TamperMode.FIXUP_MD5
 
 
+def _replacement(data: bytes, rng: HmacDrbg) -> bytes:
+    """Random bytes of ``len(data)`` that differ from *data*.
+
+    A substitution that happens to redraw the stored bytes (likely for
+    a 1-byte object) would be no tamper at all, so it is redrawn.
+    """
+    replacement = rng.generate(len(data))
+    while replacement == data:
+        replacement = rng.generate(len(data))
+    return replacement
+
+
 def apply_tamper(
     store: BlobStore,
     container: str,
@@ -69,13 +81,13 @@ def apply_tamper(
         mutated[index] ^= bit
         return store.overwrite_raw(container, key, data=bytes(mutated))
     if mode is TamperMode.REPLACE:
-        replacement = rng.generate(len(obj.data))
+        replacement = _replacement(obj.data, rng)
         return store.overwrite_raw(container, key, data=replacement)
     if mode is TamperMode.TRUNCATE:
         keep = max(1, len(obj.data) // 2)
         return store.overwrite_raw(container, key, data=obj.data[:keep])
     if mode is TamperMode.FIXUP_MD5:
-        replacement = rng.generate(len(obj.data))
+        replacement = _replacement(obj.data, rng)
         return store.overwrite_raw(
             container, key, data=replacement, content_md5=digest("md5", replacement)
         )

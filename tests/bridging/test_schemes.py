@@ -108,7 +108,7 @@ class TestSksSpecifics:
 class TestSchemeInvariants:
     """Hypothesis-driven invariants across all schemes and inputs."""
 
-    from hypothesis import given, settings
+    from hypothesis import example, given, settings
     from hypothesis import strategies as st
 
     @given(
@@ -117,6 +117,8 @@ class TestSchemeInvariants:
                               TamperMode.REPLACE, TamperMode.FIXUP_MD5]),
         seed=st.integers(min_value=0, max_value=2**16),
     )
+    # A one-byte REPLACE whose first redraw equals the stored byte.
+    @example(data=b"\x08", mode=TamperMode.REPLACE, seed=61518)
     @settings(max_examples=15, deadline=None)
     def test_bridged_schemes_never_false_accuse(self, data, mode, seed):
         """No scheme convicts a provider whose storage is untouched,

@@ -9,7 +9,7 @@ result signature.
 
 import pytest
 
-from repro.errors import ProtocolError
+from repro.errors import EvidenceError, ProtocolError
 from repro.engine import EngineConfig, SessionPool, TenantDirectory, run_pool
 
 SEED = b"test/engine"
@@ -241,6 +241,33 @@ class TestBatchedPool:
         assert stats["failed"] == 0
         assert stats["batches"] > 0
         assert stats["leaves"] > 0
+        # Every published leaf is accounted for, inline-verified ones too.
+        assert stats["leaves"] == stats["resolved"] + stats["failed"]
+
+    def test_proof_invalid_at_receipt_fails_the_run(self, directory, monkeypatch):
+        """An inclusion proof that is already wrong when its recipient
+        looks it up is rejected at receipt; settlement must count that
+        failure and raise, as it does for one that fails at the end."""
+        from dataclasses import replace
+
+        from repro.crypto.batch import BatchLedger
+
+        publish = BatchLedger.publish
+
+        def corrupting(ledger, tree, batch):
+            publish(ledger, tree, batch)
+            if len(ledger.batches) == 1:
+                # The leaf that fills a batch is sent after the seal,
+                # so its recipient resolves the proof at receipt.
+                key = (batch.signer, tree.leaf(len(tree) - 1))
+                proof = ledger._proofs[key]
+                (side, sibling), *rest = proof.path
+                flipped = bytes([sibling[0] ^ 1]) + sibling[1:]
+                ledger._proofs[key] = replace(proof, path=((side, flipped), *rest))
+
+        monkeypatch.setattr(BatchLedger, "publish", corrupting)
+        with pytest.raises(EvidenceError, match="failed settlement"):
+            run_pool(SEED, 3, directory=directory, batch_size=2)
 
     def test_batch_size_validation(self):
         with pytest.raises(ValueError, match="batch_size"):

@@ -78,7 +78,7 @@ class TestExports:
             assert hasattr(repro, entry)
 
     def test_version(self):
-        assert repro.__version__ == "1.7.0"
+        assert repro.__version__ == "1.8.0"
 
     @pytest.mark.skipif(sys.version_info < (3, 11), reason="tomllib is new in 3.11")
     def test_version_matches_pyproject(self):
@@ -92,7 +92,7 @@ class TestExports:
         code = (
             "import sys\n"
             "import repro, repro.engine, repro.replication\n"
-            "print(sorted(m for m in ('numpy', 'scipy') if m in sys.modules))\n"
+            "print(sorted(m for m in ('networkx', 'numpy', 'scipy') if m in sys.modules))\n"
         )
         src = Path(repro.__file__).resolve().parent.parent
         done = subprocess.run(
