@@ -1076,10 +1076,11 @@ def experiment_forensics(
     ``message-loss``; an amnesia crash to ``amnesia-rollback``.
 
     Campaign sweep: ``n_plans`` seeded fault plans run with forensics
-    and anomaly detection on.  The facts assert total attribution —
-    every session that did not complete-and-verify carries at least one
-    classified finding, the no-op plan carries none — plus the
-    per-detector alert counts and the seed-stable report signature.
+    and the standard campaign SLOs on.  The facts assert total
+    attribution — every session that did not complete-and-verify
+    carries at least one classified finding, the no-op plan carries
+    none — plus the per-window burn-rate alert counts and the
+    seed-stable report signature.
     """
     from ..net.faults import (
         CampaignRunner,
@@ -1156,10 +1157,10 @@ def experiment_forensics(
     facts["amnesia/categories"] = categories(amnesia_findings)
     rows.append(["amnesia", ",".join(facts["amnesia/categories"]), "-", "-"])
 
-    # Campaign sweep: forensics + anomaly detection over seeded plans.
+    # Campaign sweep: forensics + SLO burn-rate alerting over seeded plans.
     plans = [FaultPlan(name="ob2-noop")] + generate_plans(seed, n_plans - 1)
     runner = CampaignRunner(seed=seed, scenario="session", observe=True,
-                            forensics=True, anomaly=True)
+                            forensics=True, slo=True)
     report = runner.run(plans)
     unattributed = sum(
         1 for o in report.outcomes
@@ -1192,7 +1193,7 @@ def experiment_forensics(
         "Arbitrator. Over the campaign every non-delivered outcome is "
         "attributed to a concrete violation class with zero findings on the "
         "no-fault plan. "
-        f"Alert counts: {facts['campaign/alert_counts']}.",
+        f"SLO burn-rate alert counts: {facts['campaign/alert_counts'] or 'none'}.",
         meta=run_meta(seed, runner.deployment.sim.now),
     )
 

@@ -240,7 +240,7 @@ def _cmd_forensics(args: argparse.Namespace) -> int:
     if args.selftest:
         plans = [FaultPlan(name="selftest-noop")] + generate_plans(seed, args.plans - 1)
         runner = CampaignRunner(seed=seed, scenario="session", observe=True,
-                                forensics=True, anomaly=True)
+                                forensics=True, slo=True)
         report = runner.run(plans)
         unattributed = sum(
             1 for o in report.outcomes
@@ -264,7 +264,7 @@ def _cmd_forensics(args: argparse.Namespace) -> int:
         ))
         if report.alerts:
             print()
-            print(alerts_table(report.alerts, title="Anomaly alerts"))
+            print(alerts_table(report.alerts, title="SLO burn-rate alerts"))
         return 0 if ok else 1
 
     dep = make_deployment(seed=seed, observe=True, durable=True)

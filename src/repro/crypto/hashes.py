@@ -239,6 +239,9 @@ class SHA256:
 # --------------------------------------------------------------------------
 
 _PURE = {"md5": MD5, "sha256": SHA256}
+# Named constructors, not ``hashlib.new(name, data)``: the by-name
+# lookup costs more than the hash itself on short inputs.
+_STDLIB = {"md5": hashlib.md5, "sha256": hashlib.sha256}
 
 
 def digest(name: str, data: bytes, *, pure: bool = False) -> bytes:
@@ -247,11 +250,10 @@ def digest(name: str, data: bytes, *, pure: bool = False) -> bytes:
     Dispatches to :mod:`hashlib` unless ``pure=True``, which forces the
     from-scratch implementation (used by tests and micro-benchmarks).
     """
-    if name not in _PURE:
+    constructor = (_PURE if pure else _STDLIB).get(name)
+    if constructor is None:
         raise CryptoError(f"unknown hash algorithm: {name!r}")
-    if pure:
-        return _PURE[name](data).digest()
-    return hashlib.new(name, data).digest()
+    return constructor(data).digest()
 
 
 def hexdigest(name: str, data: bytes, *, pure: bool = False) -> str:

@@ -30,9 +30,9 @@ from dataclasses import dataclass, field as dataclass_field
 from time import perf_counter
 
 from ..core.client import DownloadResult, TpnrClient
-from ..core.policy import DEFAULT_POLICY, TpnrPolicy
+from ..core.policy import DEFAULT_POLICY
 from ..core.protocol import DEFAULT_KEY_BITS
-from ..core.provider import HONEST, ProviderBehavior, TpnrProvider
+from ..core.provider import HONEST, TpnrProvider
 from ..core.transaction import TransactionRecord, TxStatus
 from ..core.ttp import TrustedThirdParty
 from ..crypto import cache as crypto_cache
@@ -40,8 +40,8 @@ from ..crypto.batch import BatchLedger, EvidenceBatcher
 from ..crypto.drbg import HmacDrbg
 from ..crypto.pki import CertificateAuthority, Identity, KeyRegistry
 from ..determinism import canon_float
-from ..errors import EvidenceError
-from ..net.channel import PERFECT, ChannelSpec
+from ..errors import EvidenceError, ProtocolError
+from ..net.channel import PERFECT
 from ..net.events import Simulator
 from ..net.network import Network
 from ..obs import NULL_OBS, Observability
@@ -56,6 +56,18 @@ __all__ = [
 ]
 
 
+# The fixed shape of every pool world: one honest provider and one TTP
+# under the default policy on the zero-loss channel, each tenant
+# uploading a payload of PAYLOAD_MIN..PAYLOAD_MAX bytes and then
+# downloading and verifying it.
+PAYLOAD_MIN = 64
+PAYLOAD_MAX = 512
+ARRIVAL_WINDOW = 5.0  # uploads start uniformly inside this (sim s)
+SAMPLE_INTERVAL = 0.5  # drive-loop slice and in-flight gauge period (sim s)
+PROVIDER_NAME = "bob"
+TTP_NAME = "ttp"
+
+
 def _seed_bytes(seed: bytes | str) -> bytes:
     return seed.encode("utf-8") if isinstance(seed, str) else bytes(seed)
 
@@ -66,14 +78,8 @@ class EngineConfig:
 
     n_tenants: int = 10
     transactions_per_tenant: int = 1
-    payload_min: int = 64
-    payload_max: int = 512
-    arrival_window: float = 5.0  # uploads start uniformly inside this (sim s)
-    with_download: bool = True
-    key_bits: int = DEFAULT_KEY_BITS
     use_caches: bool = True
     observe: bool = True
-    sample_interval: float = 0.5  # in-flight gauge sampling period (sim s)
     # Merkle-batched evidence: one RSA signature per batch of this many
     # evidence leaves (None = classic per-message signatures).  Batch
     # layout never reaches the wire accounting (the blob is the fixed
@@ -89,8 +95,6 @@ class EngineConfig:
             raise ValueError("n_tenants must be >= 1")
         if self.transactions_per_tenant < 1:
             raise ValueError("transactions_per_tenant must be >= 1")
-        if not 0 < self.payload_min <= self.payload_max:
-            raise ValueError("need 0 < payload_min <= payload_max")
         if self.batch_size is not None and self.batch_size < 1:
             raise ValueError("batch_size must be >= 1 (or None for per-message)")
         if self.profile and not self.observe:
@@ -122,9 +126,8 @@ class TenantDirectory:
     which is why consumers check ``is None``, never falsiness.
     """
 
-    def __init__(self, seed: bytes | str = b"tpnr-engine", key_bits: int = DEFAULT_KEY_BITS) -> None:
+    def __init__(self, seed: bytes | str = b"tpnr-engine") -> None:
         self._seed = _seed_bytes(seed)
-        self.key_bits = key_bits
         self._identities: dict[str, Identity] = {}
         self._ca: CertificateAuthority | None = None
         self._lock = threading.RLock()
@@ -143,7 +146,7 @@ class TenantDirectory:
             found = self._identities.get(name)
             if found is None:
                 found = Identity.generate(
-                    name, self.stream(f"engine/identity/{name}"), bits=self.key_bits
+                    name, self.stream(f"engine/identity/{name}"), bits=DEFAULT_KEY_BITS
                 )
                 self._identities[name] = found
                 self.keygen_count += 1
@@ -153,7 +156,7 @@ class TenantDirectory:
         with self._lock:
             if self._ca is None:
                 self._ca = CertificateAuthority(
-                    "repro-ca", self.stream("engine/ca"), bits=self.key_bits
+                    "repro-ca", self.stream("engine/ca"), bits=DEFAULT_KEY_BITS
                 )
             return self._ca
 
@@ -300,11 +303,6 @@ class SessionPool:
         config: EngineConfig,
         seed: bytes | str = b"tpnr-engine",
         directory: TenantDirectory | None = None,
-        channel: ChannelSpec = PERFECT,
-        policy: TpnrPolicy = DEFAULT_POLICY,
-        behavior: ProviderBehavior = HONEST,
-        provider_name: str = "bob",
-        ttp_name: str = "ttp",
         roster: "tuple[tuple[int, str], ...] | None" = None,
     ) -> None:
         self.config = config
@@ -312,17 +310,8 @@ class SessionPool:
         # `is None`, not `or`: consumers must never rely on directory
         # truthiness (an empty directory memoizes as the pool builds).
         if directory is None:
-            directory = TenantDirectory(self._seed, key_bits=config.key_bits)
+            directory = TenantDirectory(self._seed)
         self.directory = directory
-        if self.directory.key_bits != config.key_bits:
-            raise ValueError(
-                f"directory key_bits {self.directory.key_bits} != config {config.key_bits}"
-            )
-        self.channel = channel
-        self.policy = policy
-        self.behavior = behavior
-        self.provider_name = provider_name
-        self.ttp_name = ttp_name
         # The roster maps each tenant to its GLOBAL index: transaction
         # IDs, workload streams, and party streams all key off it, so a
         # shard pool running tenants (3, 7, 11) of a 16-tenant world
@@ -367,7 +356,7 @@ class SessionPool:
         """Wire the world: PKI, network, provider, TTP, tenant clients."""
         config = self.config
         self.sim = Simulator()
-        self.network = Network(self.sim, self._stream("engine/net"), default_channel=self.channel)
+        self.network = Network(self.sim, self._stream("engine/net"), default_channel=PERFECT)
         if config.observe:
             sim = self.sim
             self.network.obs = Observability(clock=lambda: sim.now)
@@ -381,17 +370,17 @@ class SessionPool:
             self._crypto_scope.__enter__()
         with self.profiler.region("engine/keygen", invariant=False):
             registry = KeyRegistry(self.directory.certificate_authority())
-            provider_id = self.directory.identity(self.provider_name)
-            ttp_id = self.directory.identity(self.ttp_name)
+            provider_id = self.directory.identity(PROVIDER_NAME)
+            ttp_id = self.directory.identity(TTP_NAME)
             tenant_ids = [self.directory.identity(name) for name in self.tenant_names]
         for identity in (provider_id, ttp_id, *tenant_ids):
             registry.enroll(identity)
         self.provider = TpnrProvider(
             provider_id, registry, self._stream("engine/party/provider"),
-            ttp_name=self.ttp_name, policy=self.policy, behavior=self.behavior,
+            ttp_name=TTP_NAME, policy=DEFAULT_POLICY, behavior=HONEST,
         )
         self.ttp = TrustedThirdParty(
-            ttp_id, registry, self._stream("engine/party/ttp"), policy=self.policy
+            ttp_id, registry, self._stream("engine/party/ttp"), policy=DEFAULT_POLICY
         )
         self.network.add_node(self.provider)
         self.network.add_node(self.ttp)
@@ -399,7 +388,7 @@ class SessionPool:
         for identity in tenant_ids:
             client = TpnrClient(
                 identity, registry, self._stream(f"engine/party/{identity.name}"),
-                ttp_name=self.ttp_name, policy=self.policy,
+                ttp_name=TTP_NAME, policy=DEFAULT_POLICY,
             )
             client.on_txn_terminal = self._upload_terminal
             client.on_download_complete = self._download_complete
@@ -468,9 +457,9 @@ class SessionPool:
             with self.profiler.region("engine/workload", invariant=True):
                 workload = self._stream(f"engine/workload/{name}")
                 for k in range(config.transactions_per_tenant):
-                    size = workload.randint(config.payload_min, config.payload_max)
+                    size = workload.randint(PAYLOAD_MIN, PAYLOAD_MAX)
                     payload = workload.generate(size)
-                    offset = workload.random() * config.arrival_window
+                    offset = workload.random() * ARRIVAL_WINDOW
                     transaction_id = f"TXN-E{index:04d}-{k:03d}"
                     self._sessions[transaction_id] = SessionRecord(
                         tenant=name,
@@ -486,7 +475,7 @@ class SessionPool:
     def _start_upload(self, tenant: str, data: bytes, transaction_id: str) -> None:
         self._inflight += 1
         self.clients[tenant].upload(
-            self.provider_name, data, transaction_id=transaction_id
+            PROVIDER_NAME, data, transaction_id=transaction_id
         )
 
     # -- session lifecycle hooks ---------------------------------------------
@@ -498,11 +487,7 @@ class SessionPool:
         assert self.sim is not None
         session.upload_status = record.status.value
         session.upload_done_at = self.sim.now
-        chain_download = (
-            self.config.with_download
-            and record.status in (TxStatus.COMPLETED, TxStatus.RESOLVED)
-        )
-        if chain_download:
+        if record.status in (TxStatus.COMPLETED, TxStatus.RESOLVED):
             self.clients[session.tenant].download(record.transaction_id)
         else:
             self._finish_session(session)
@@ -540,7 +525,7 @@ class SessionPool:
         sim = self.sim
         obs = self._obs
         while sim.next_event_time() is not None:
-            sim.run(until=sim.now + self.config.sample_interval)
+            sim.run(until=sim.now + SAMPLE_INTERVAL)
             if obs.enabled:
                 obs.metrics.gauge("engine.inflight_sessions").set(self._inflight)
 
@@ -586,6 +571,13 @@ class SessionPool:
             drive_started = perf_counter()
             with profiler.region("engine/drive", invariant=False, scope=drive_scope):
                 self._drive()
+            if self._inflight != 0:
+                # Fail closed: every scheduled session must reach a
+                # terminal state before the run may report.
+                unfinished = [t for t, s in self._sessions.items() if not s.finished]
+                raise ProtocolError(
+                    f"{self._inflight} session(s) never finished: {unfinished[:8]}"
+                )
             with profiler.region("engine/settle", invariant=False, scope=False):
                 batch_stats = self._settle_batches()
             drive_seconds = perf_counter() - drive_started

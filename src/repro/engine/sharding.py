@@ -27,7 +27,7 @@ interact with each other, only with the provider/TTP, and
 * wire sizes are layout-invariant (RSA/KEM blobs are modulus-sized,
   batched-evidence blobs are the fixed 32-byte leaf), so per-shard
   ``bytes_on_wire`` sums to the global number;
-* the drive loop advances the clock on the ``sample_interval`` grid,
+* the drive loop advances the clock on the ``SAMPLE_INTERVAL`` grid,
   so a shard's ``sim_duration`` is a pure function of its last event
   time — the max over shards equals the global run's duration;
 * provider/TTP tallies are sums of per-event counters, so key-wise
@@ -50,10 +50,7 @@ from __future__ import annotations
 from dataclasses import replace
 from time import perf_counter
 
-from ..core.policy import DEFAULT_POLICY, TpnrPolicy
-from ..core.provider import HONEST, ProviderBehavior
 from ..crypto.hmac_ import hmac_digest
-from ..net.channel import PERFECT, ChannelSpec
 from ..obs import NULL_OBS
 from ..obs.profiler import RegionProfiler
 from ..obs.sketch import QuantileSketch
@@ -202,11 +199,6 @@ class ShardedSessionPool:
         seed: bytes | str = b"tpnr-engine",
         shards: int = 1,
         directory: TenantDirectory | None = None,
-        channel: ChannelSpec = PERFECT,
-        policy: TpnrPolicy = DEFAULT_POLICY,
-        behavior: ProviderBehavior = HONEST,
-        provider_name: str = "bob",
-        ttp_name: str = "ttp",
     ) -> None:
         if shards < 1:
             raise ValueError(f"shards must be >= 1, got {shards}")
@@ -217,13 +209,8 @@ class ShardedSessionPool:
         # (its lock makes the sharing safe), and every shard sees the
         # same keys for the provider/TTP names it re-instantiates.
         if directory is None:
-            directory = TenantDirectory(seed, key_bits=config.key_bits)
+            directory = TenantDirectory(seed)
         self.directory = directory
-        self.channel = channel
-        self.policy = policy
-        self.behavior = behavior
-        self.provider_name = provider_name
-        self.ttp_name = ttp_name
         self.plan = shard_plan(seed, config.n_tenants, shards)
         self.shard_results: list[tuple[int, PoolResult]] = []
 
@@ -238,11 +225,6 @@ class ShardedSessionPool:
                 replace(self.config, n_tenants=len(roster)),
                 seed=self.seed,
                 directory=self.directory,
-                channel=self.channel,
-                policy=self.policy,
-                behavior=self.behavior,
-                provider_name=self.provider_name,
-                ttp_name=self.ttp_name,
                 roster=roster,
             )
             self.shard_results.append((shard_index, pool.run()))

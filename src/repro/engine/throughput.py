@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from time import perf_counter
 
-from ..core.protocol import DEFAULT_KEY_BITS, make_deployment, run_session
+from ..core.protocol import make_deployment, run_session
 from .pool import EngineConfig, PoolResult, SessionPool, TenantDirectory
 from .sharding import ShardedSessionPool
 
@@ -134,7 +134,6 @@ def run_pool(
     observe: bool = True,
     shards: int = 1,
     batch_size: int | None = None,
-    key_bits: int = DEFAULT_KEY_BITS,
     profile: bool = False,
 ) -> PoolResult:
     """One engine run at one tenant count; the low-level entry point.
@@ -151,7 +150,6 @@ def run_pool(
         use_caches=use_caches,
         observe=observe,
         batch_size=batch_size,
-        key_bits=key_bits,
         profile=profile,
     )
     if shards > 1:
@@ -244,7 +242,6 @@ def run_sharded_throughput(
     shard_counts: tuple[int, ...] = (1, 2, 4, 8),
     batch_size: int = 64,
     transactions_per_tenant: int = 1,
-    key_bits: int = DEFAULT_KEY_BITS,
     warm_directory: bool = True,
 ) -> ShardedReport:
     """Sweep shard counts at one tenant count, batched evidence on.
@@ -254,19 +251,19 @@ def run_sharded_throughput(
     signatures, one shard — is measured in the same run as the
     comparison point the speedup claims are made against.
     """
-    directory = TenantDirectory(seed, key_bits=key_bits)
+    directory = TenantDirectory(seed)
     if warm_directory:
         directory.warm(["bob", "ttp", *[f"tenant-{i:04d}" for i in range(n_tenants)]])
     classic = _flatten(run_pool(
         seed, n_tenants, directory=directory,
-        transactions_per_tenant=transactions_per_tenant, key_bits=key_bits,
+        transactions_per_tenant=transactions_per_tenant,
     ))
     samples = []
     for shards in shard_counts:
         result = run_pool(
             seed, n_tenants, directory=directory,
             transactions_per_tenant=transactions_per_tenant,
-            shards=shards, batch_size=batch_size, key_bits=key_bits,
+            shards=shards, batch_size=batch_size,
         )
         samples.append(_flatten_sharded(result, shards))
     seed_text = seed.decode("utf-8", "replace") if isinstance(seed, bytes) else str(seed)

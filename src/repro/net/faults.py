@@ -613,7 +613,7 @@ class CampaignReport:
     seed: str
     scenario: str
     outcomes: list[CampaignOutcome] = field(default_factory=list)
-    # Anomaly alerts emitted during the run (anomaly=True); excluded
+    # SLO burn-rate alerts emitted during the run (slo=True); excluded
     # from signature() like all telemetry-only surfaces.
     alerts: list = field(default_factory=list)
     # End-of-run SLOReport (slo=True); telemetry-only, excluded from
@@ -699,14 +699,11 @@ class CampaignRunner:
         durable: bool = False,
         observe: bool = False,
         forensics: bool = False,
-        anomaly: bool = False,
         slo: bool = False,
         on_plan=None,
     ) -> None:
         if scenario not in ("session", "upload", "abort"):
             raise ValueError(f"unknown scenario {scenario!r}")
-        if anomaly and not observe:
-            raise ValueError("anomaly detection requires observe=True")
         if slo and not observe:
             raise ValueError("SLO evaluation requires observe=True")
         self.seed = seed if isinstance(seed, str) else seed.decode("latin-1")
@@ -715,7 +712,6 @@ class CampaignRunner:
         self.durable = durable
         self.observe = observe
         self.forensics = forensics
-        self.anomaly = anomaly
         self.slo = slo
         # on_plan: optional (index, outcome) callback fired after each
         # plan's audit — the live-dashboard hook; it sees self.slos and
@@ -746,14 +742,6 @@ class CampaignRunner:
             # exclusive_trace: the runner clears the trace per plan, so
             # every wire event belongs to the plan under audit.
             auditor = ConsistencyAuditor.for_deployment(dep, exclusive_trace=True)
-        monitor = None
-        if self.anomaly:
-            from ..obs.anomaly import AnomalyMonitor  # lazy: see render()
-            from ..obs.campaign import attach_campaign_detectors  # lazy, same reason
-
-            monitor = attach_campaign_detectors(
-                AnomalyMonitor(dep.obs.metrics, clock=lambda: dep.sim.now),
-                dep.obs.metrics)
         slos = None
         if self.slo:
             from ..obs.slo import SLOManager, standard_campaign_slos  # lazy: see render()
@@ -806,10 +794,6 @@ class CampaignRunner:
                     findings=findings,
                 )
             )
-            if monitor is not None or slos is not None:
-                self._feed_anomaly_metrics(dep, report.outcomes[-1])
-            if monitor is not None:
-                report.alerts.extend(monitor.poll(dep.sim.now))
             if slos is not None:
                 self._feed_slo_metrics(dep, report.outcomes[-1])
                 report.alerts.extend(slos.poll(dep.sim.now))
@@ -826,26 +810,14 @@ class CampaignRunner:
     # -- bookkeeping ---------------------------------------------------------
 
     @staticmethod
-    def _feed_anomaly_metrics(dep: "Deployment", outcome: CampaignOutcome) -> None:
-        """Mirror one plan's outcome into the live campaign counters
-        the anomaly detectors window over."""
-        metrics = dep.obs.metrics
-        metrics.counter("campaign.live.retransmits").inc(outcome.retransmits)
-        if outcome.ttp_involved:
-            metrics.counter("campaign.live.escalations").inc()
-        ok = not outcome.hung and outcome.status != "failed"
-        metrics.counter(
-            "campaign.live.sessions", outcome="ok" if ok else "failed"
-        ).inc()
-        metrics.histogram("campaign.live.latency_seconds").observe(outcome.elapsed)
-
-    @staticmethod
     def _feed_slo_metrics(dep: "Deployment", outcome: CampaignOutcome) -> None:
-        """Mirror one plan's outcome into the counters the standard
+        """Mirror one plan's outcome into the instruments the standard
         campaign SLIs read.  A good *verdict* is a session
         that reached completed/resolved without hanging; *evidence* is
-        good when the end-to-end download verified."""
+        good when the end-to-end download verified; the plan's elapsed
+        sim time feeds the terminal-latency histogram."""
         metrics = dep.obs.metrics
+        metrics.histogram("campaign.live.latency_seconds").observe(outcome.elapsed)
         verdict_ok = outcome.status in ("completed", "resolved") and not outcome.hung
         metrics.counter(
             "campaign.live.verdicts", outcome="ok" if verdict_ok else "bad"

@@ -29,9 +29,13 @@ Exporters (:mod:`repro.obs.exporters`) turn either surface into JSONL,
 Prometheus text, or human-readable tables;
 :mod:`repro.obs.campaign` folds FC1/CR1 campaign reports into
 per-fault-class retry/escalation/latency breakdowns;
-:mod:`repro.obs.sketch` adds exactly-mergeable quantile sketches;
+:mod:`repro.obs.sketch` adds exactly-mergeable quantile sketches, the
+one source of reported quantiles (histograms are counted at their
+bucket bounds, never interpolated);
 :mod:`repro.obs.slo` declares service objectives with error budgets
-and multi-window burn-rate alerting;
+and multi-window burn-rate alerting — the only way a fault campaign
+raises alerts — over the :class:`~repro.obs.anomaly.BurnRateDetector`
+and alert log in :mod:`repro.obs.anomaly`;
 :mod:`repro.obs.dashboard` renders the live ``repro slo --watch``
 view of a running campaign; :mod:`repro.obs.profiler` attributes cost
 to hierarchical regions on both clocks (sim + wall), extracts
@@ -55,16 +59,8 @@ from . import (
     slo,
     span,
 )
-from .anomaly import (
-    Alert,
-    AnomalyMonitor,
-    BurnRateDetector,
-    QuantileThresholdDetector,
-    RateShiftDetector,
-    alerts_table,
-)
+from .anomaly import Alert, AnomalyMonitor, BurnRateDetector, alerts_table
 from .campaign import (
-    attach_campaign_detectors,
     breakdown_table,
     class_breakdown,
     fault_class,
@@ -144,8 +140,6 @@ __all__ = [
     "span",
     "Alert",
     "AnomalyMonitor",
-    "RateShiftDetector",
-    "QuantileThresholdDetector",
     "BurnRateDetector",
     "alerts_table",
     "AuditFinding",
@@ -206,7 +200,6 @@ __all__ = [
     "class_breakdown",
     "breakdown_table",
     "record_campaign_metrics",
-    "attach_campaign_detectors",
 ]
 
 

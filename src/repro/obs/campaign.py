@@ -16,12 +16,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from .anomaly import (
-    AnomalyMonitor,
-    BurnRateDetector,
-    QuantileThresholdDetector,
-    RateShiftDetector,
-)
 from .metrics import DEFAULT_LATENCY_BUCKETS, Histogram, MetricsRegistry
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -32,7 +26,6 @@ __all__ = [
     "class_breakdown",
     "breakdown_table",
     "record_campaign_metrics",
-    "attach_campaign_detectors",
 ]
 
 
@@ -118,46 +111,6 @@ def breakdown_table(report: "CampaignReport") -> str:
         rows,
         title=f"Per-fault-class breakdown seed={report.seed!r} scenario={report.scenario}",
     )
-
-
-def attach_campaign_detectors(
-    monitor: AnomalyMonitor, metrics: MetricsRegistry
-) -> AnomalyMonitor:
-    """Subscribe the standard campaign detectors to the live counters.
-
-    The :class:`~repro.net.faults.CampaignRunner` mirrors each plan's
-    outcome into ``campaign.live.*`` instruments and polls the monitor
-    once per plan, so one poll window is one plan — the detectors see
-    retransmission storms, escalation bursts, latency blowups, and SLO
-    burn across the sliding last-N-plans window.
-    """
-    retransmits = metrics.counter("campaign.live.retransmits")
-    escalations = metrics.counter("campaign.live.escalations")
-    sessions_ok = metrics.counter("campaign.live.sessions", outcome="ok")
-    sessions_bad = metrics.counter("campaign.live.sessions", outcome="failed")
-    latency = metrics.histogram("campaign.live.latency_seconds")
-    monitor.add(RateShiftDetector(
-        "retransmit-rate", lambda: retransmits.value,
-        subject="campaign.live.retransmits",
-        window=10, factor=4.0, min_events=4,
-    ))
-    monitor.add(RateShiftDetector(
-        "escalation-rate", lambda: escalations.value,
-        subject="campaign.live.escalations",
-        window=10, factor=4.0, min_events=2,
-    ))
-    monitor.add(QuantileThresholdDetector(
-        "latency-p99", lambda: latency,
-        subject="campaign.live.latency_seconds",
-        q=0.99, threshold=12.0, window=10, min_count=5,
-    ))
-    monitor.add(BurnRateDetector(
-        "session-slo",
-        lambda: sessions_ok.value, lambda: sessions_bad.value,
-        subject="campaign.live.sessions",
-        slo=0.9, threshold=2.0, window=10, min_events=5,
-    ))
-    return monitor
 
 
 def record_campaign_metrics(report: "CampaignReport", metrics: MetricsRegistry) -> None:

@@ -86,16 +86,19 @@ class Gauge:
 
 @dataclass
 class Histogram:
-    """A fixed-bucket histogram (cumulative, Prometheus-style).
+    """A fixed-bucket histogram (Prometheus-style bounds).
 
-    ``bucket_counts[i]`` counts observations ``<= buckets[i]``; the
-    implicit final bucket is ``+Inf``.  Buckets are fixed at creation —
-    no rebinning, so merged/compared snapshots always line up.
+    ``bucket_counts[i]`` counts observations in
+    ``(buckets[i-1], buckets[i]]``; the implicit final bucket is
+    ``+Inf``.  Buckets are fixed at creation — no rebinning, so
+    merged/compared snapshots always line up.  Readers count at a
+    bucket bound (:class:`~repro.obs.slo.HistogramThresholdSLI`) and
+    never estimate inside a bucket; quantiles come from
+    :class:`~repro.obs.sketch.QuantileSketch`, which keeps every
+    estimate inside the observed [min, max].
 
     The observed ``min``/``max`` are tracked alongside the buckets
-    (``None`` until the first observation).  Snapshot rows gained
-    ``"min"``/``"max"`` keys additively — every pre-existing key is
-    unchanged, so older snapshot consumers keep working.
+    (``None`` until the first observation).
     """
 
     name: str
@@ -125,51 +128,6 @@ class Histogram:
     @property
     def mean(self) -> float:
         return self.sum / self.count if self.count else 0.0
-
-    def cumulative_counts(self) -> list[int]:
-        """Cumulative per-bucket counts, ending with the total."""
-        out, running = [], 0
-        for n in self.bucket_counts:
-            running += n
-            out.append(running)
-        return out
-
-    def _overflow_estimate(self) -> float:
-        # A rank in the +Inf bucket reports the observed max — the
-        # best upper estimate available without raw samples.  (Before
-        # min/max tracking this clamped to the last finite bound,
-        # which under-reported tail quantiles; positionally-built
-        # histograms with no recorded max keep the old clamp.)
-        if self.max is not None:
-            return self.max
-        return float(self.buckets[-1]) if self.buckets else 0.0
-
-    def quantile(self, q: float) -> float:
-        """Estimate the *q*-quantile (Prometheus ``histogram_quantile``).
-
-        Linear interpolation inside the bucket holding the target rank;
-        a rank landing in the implicit ``+Inf`` bucket reports the
-        observed ``max`` (falling back to the last finite bound only
-        when no max was recorded).  Returns 0.0 with no observations.
-        """
-        if not 0.0 <= q <= 1.0:
-            raise ValueError(f"quantile must be in [0, 1], got {q}")
-        if self.count == 0:
-            return 0.0
-        rank = q * self.count
-        cumulative = self.cumulative_counts()
-        for i, running in enumerate(cumulative):
-            if running >= rank:
-                if i >= len(self.buckets):  # +Inf bucket
-                    return self._overflow_estimate()
-                lower = float(self.buckets[i - 1]) if i > 0 else 0.0
-                upper = float(self.buckets[i])
-                in_bucket = self.bucket_counts[i]
-                if in_bucket == 0:
-                    return upper
-                below = running - in_bucket
-                return lower + (upper - lower) * ((rank - below) / in_bucket)
-        return self._overflow_estimate()
 
 
 class CardinalityError(ValueError):

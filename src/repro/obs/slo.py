@@ -1,10 +1,10 @@
 """Declarative SLOs: error budgets and multi-window burn-rate alerts.
 
-The metrics layer (PR 3) records what happened and the anomaly layer
-(PR 5) flags statistical surprises; this module states *objectives* —
-"99% of TPNR transactions reach a terminal verdict within 10 sim
-seconds", "95% of replica forks are detected within 5 s" — and
-accounts for them continuously:
+The metrics layer records what happened; this module states
+*objectives* — "80% of TPNR sessions reach a terminal verdict within
+10 sim seconds", "90% of replica forks are detected within 5 s" — and
+accounts for them continuously.  It is the only alerting path of a
+fault campaign (``CampaignRunner(slo=True)``):
 
 * an :class:`SLOSpec` binds an objective to an **SLI**, a good/bad
   event classifier read from the live registry (counter ratios,
@@ -13,10 +13,13 @@ accounts for them continuously:
 * an **error budget** (``1 - objective``) is burned by bad events;
   :class:`SLOStatus` reports consumption and remaining budget;
 * alerting is the Google-SRE multi-window multi-burn-rate shape,
-  built on the existing :class:`~repro.obs.anomaly.BurnRateDetector`:
-  a *fast* window with a high burn threshold pages on cliffs, a
-  *slow* window with a low threshold catches smoulder, both
-  edge-triggered and polled on the caller's deterministic cadence.
+  built on :class:`~repro.obs.anomaly.BurnRateDetector`: a *fast*
+  window with a high burn threshold pages on cliffs, a *slow* window
+  with a low threshold catches smoulder, both edge-triggered and
+  polled on the caller's deterministic cadence.
+
+SLIs count events against a threshold and never estimate a quantile:
+a histogram SLI counts exactly at one of its bucket bounds.
 
 Reports are stamped with the active :class:`~repro.scenarios.context.
 RunStamp` and exported via JSONL / the summary table; the manager also
@@ -281,11 +284,9 @@ class _Tracker:
 class SLOManager:
     """Evaluates declared SLOs against a live registry.
 
-    Owns a *private* :class:`AnomalyMonitor` (never the deployment's
-    shared one — the campaign loop polls that on its own cadence and
-    double-polling would shift every windowed detector).  Call
-    :meth:`poll` on the driving loop's cadence; call :meth:`report`
-    once at the end of the run.
+    Owns a *private* :class:`AnomalyMonitor` holding one burn
+    detector per (SLO, window).  Call :meth:`poll` on the driving
+    loop's cadence; call :meth:`report` once at the end of the run.
     """
 
     def __init__(self, metrics: MetricsRegistry,

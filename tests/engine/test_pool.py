@@ -115,14 +115,22 @@ class TestShapes:
         with pytest.raises(ValueError):
             EngineConfig(n_tenants=0)
         with pytest.raises(ValueError):
-            EngineConfig(payload_min=0)
-        with pytest.raises(ValueError):
-            EngineConfig(payload_min=512, payload_max=64)
+            EngineConfig(transactions_per_tenant=0)
 
-    def test_directory_key_bits_mismatch_rejected(self):
-        directory = TenantDirectory(SEED, key_bits=768)
-        with pytest.raises(ValueError, match="key_bits"):
-            SessionPool(EngineConfig(), seed=SEED, directory=directory)
+
+class TestSessionAccounting:
+    """Every scheduled session must finish before a run may report."""
+
+    def test_unfinished_session_fails_the_run(self, directory):
+        class LosesOneDownload(SessionPool):
+            def _download_complete(self, result):
+                if result.transaction_id != "TXN-E0001-000":
+                    super()._download_complete(result)
+
+        pool = LosesOneDownload(EngineConfig(n_tenants=3), seed=SEED,
+                                directory=directory)
+        with pytest.raises(ProtocolError, match="1 session.*TXN-E0001-000"):
+            pool.run()
 
 
 class TestTenantDirectory:

@@ -1,159 +1,9 @@
-"""Anomaly detectors: rate shifts, windowed quantiles, SLO burn rate."""
+"""The burn-rate detector and the polled monitor the SLO layer uses."""
 
 import pytest
 
-from repro.obs.anomaly import (
-    AnomalyMonitor,
-    BurnRateDetector,
-    QuantileThresholdDetector,
-    RateShiftDetector,
-    alerts_table,
-)
+from repro.obs.anomaly import AnomalyMonitor, BurnRateDetector, alerts_table
 from repro.obs.metrics import MetricsRegistry
-
-
-class TestRateShiftDetector:
-    def make(self, counter, **kwargs):
-        kwargs.setdefault("window", 4)
-        kwargs.setdefault("factor", 4.0)
-        kwargs.setdefault("min_events", 3.0)
-        return RateShiftDetector("rate", lambda: counter.value, **kwargs)
-
-    def test_steady_rate_never_fires(self):
-        reg = MetricsRegistry()
-        c = reg.counter("steady")
-        det = self.make(c)
-        for t in range(20):
-            c.inc(2)
-            assert det.sample(float(t)) == []
-        assert det.fired == 0
-
-    def test_burst_over_baseline_fires(self):
-        reg = MetricsRegistry()
-        c = reg.counter("bursty")
-        det = self.make(c)
-        for t in range(8):
-            c.inc(1)
-            det.sample(float(t))
-        c.inc(10)  # 10x the steady per-poll delta
-        alerts = det.sample(8.0)
-        assert len(alerts) == 1
-        assert alerts[0].value == 10.0
-        assert alerts[0].threshold == 4.0  # factor * baseline mean of 1
-
-    def test_burst_from_silence_needs_min_events(self):
-        reg = MetricsRegistry()
-        c = reg.counter("quiet")
-        det = self.make(c, min_events=3.0)
-        for t in range(6):
-            det.sample(float(t))  # silent baseline
-        c.inc(2)
-        assert det.sample(6.0) == []  # under min_events
-        c.inc(3)
-        assert len(det.sample(7.0)) == 1
-
-    def test_needs_min_history_before_judging(self):
-        reg = MetricsRegistry()
-        c = reg.counter("young")
-        det = self.make(c, min_history=3)
-        c.inc(50)
-        assert det.sample(0.0) == []  # first read only seeds the level
-        c.inc(50)
-        assert det.sample(1.0) == []  # 1 baseline delta < min_history
-        c.inc(50)
-        assert det.sample(2.0) == []
-
-    def test_bounded_memory(self):
-        reg = MetricsRegistry()
-        c = reg.counter("mem")
-        det = self.make(c, window=4)
-        for t in range(1000):
-            c.inc(1)
-            det.sample(float(t))
-        assert len(det._deltas) == 4
-
-
-class TestQuantileThresholdDetector:
-    def make(self, hist, **kwargs):
-        kwargs.setdefault("q", 0.99)
-        kwargs.setdefault("threshold", 5.0)
-        kwargs.setdefault("window", 4)
-        kwargs.setdefault("min_count", 2)
-        return QuantileThresholdDetector("p99", lambda: hist, **kwargs)
-
-    def test_fast_observations_never_fire(self):
-        reg = MetricsRegistry()
-        h = reg.histogram("lat")
-        det = self.make(h)
-        for t in range(10):
-            h.observe(0.01)
-            h.observe(0.02)
-            assert det.sample(float(t)) == []
-
-    def test_slow_window_fires_once_then_rearms(self):
-        reg = MetricsRegistry()
-        h = reg.histogram("lat")
-        det = self.make(h)
-        for t in range(4):
-            h.observe(0.01)
-            h.observe(0.01)
-            det.sample(float(t))
-        h.observe(20.0)  # lands above the 5s threshold
-        h.observe(20.0)
-        alerts = det.sample(4.0)
-        assert len(alerts) == 1
-        assert alerts[0].value > 5.0
-        # Edge-triggered: the same bad samples still inside the window
-        # must not re-fire on subsequent polls.
-        assert det.sample(5.0) == []
-        assert det.sample(6.0) == []
-        # The window slides past the spike, the detector re-arms, and a
-        # fresh spike fires again.
-        for t in range(7, 12):
-            h.observe(0.01)
-            h.observe(0.01)
-            det.sample(float(t))
-        h.observe(20.0)
-        h.observe(20.0)
-        assert len(det.sample(12.0)) == 1
-        assert det.fired == 2
-
-    def test_level_mode_fires_every_poll(self):
-        reg = MetricsRegistry()
-        h = reg.histogram("lat")
-        det = self.make(h, edge=False)
-        for t in range(4):
-            h.observe(0.01)
-            h.observe(0.01)
-            det.sample(float(t))
-        h.observe(20.0)
-        h.observe(20.0)
-        assert len(det.sample(4.0)) == 1
-        assert len(det.sample(5.0)) == 1  # still in window, fires again
-
-    def test_quantile_reflects_window_not_history(self):
-        # Hours of healthy cumulative history must not mask a fresh
-        # regression: the detector quantiles the windowed delta.
-        reg = MetricsRegistry()
-        h = reg.histogram("lat")
-        for _ in range(1000):
-            h.observe(0.01)
-        det = self.make(h, window=3, min_count=2)
-        for t in range(3):
-            det.sample(float(t))
-        for _ in range(5):
-            h.observe(20.0)  # every *new* observation is slow
-        alerts = det.sample(3.0)
-        assert len(alerts) == 1
-
-    def test_bounded_memory(self):
-        reg = MetricsRegistry()
-        h = reg.histogram("mem")
-        det = self.make(h, window=4)
-        for t in range(500):
-            h.observe(0.01)
-            det.sample(float(t))
-        assert len(det._snaps) == 4
 
 
 class TestBurnRateDetector:
@@ -220,35 +70,39 @@ class TestBurnRateDetector:
         assert det.sample(1.0) == []
 
 
+def burn_detector(good, bad, **kwargs):
+    """A 90%-SLO burn detector over two counters, firing at 2x burn."""
+    kwargs.setdefault("slo", 0.9)
+    kwargs.setdefault("threshold", 2.0)
+    kwargs.setdefault("window", 4)
+    kwargs.setdefault("min_events", 4.0)
+    return BurnRateDetector(
+        "burn", lambda: good.value, lambda: bad.value, **kwargs)
+
+
 class TestAnomalyMonitor:
     def test_poll_aggregates_and_logs(self):
         reg = MetricsRegistry()
-        c = reg.counter("retx")
+        good, bad = reg.counter("ok"), reg.counter("fail")
         monitor = AnomalyMonitor(reg)
-        monitor.add(RateShiftDetector(
-            "retx-rate", lambda: c.value, window=4, min_history=2,
-            min_events=3.0))
+        monitor.add(burn_detector(good, bad))
         for t in range(5):
-            c.inc(1)
+            good.inc(5)
             monitor.poll(float(t))
-        c.inc(12)
+        bad.inc(12)
         fresh = monitor.poll(5.0)
         assert len(fresh) == 1
         assert monitor.alerts == fresh
         assert monitor.polls == 6
-        assert monitor.alert_counts() == {"retx-rate": 1}
+        assert monitor.alert_counts() == {"burn": 1}
 
     def test_clock_fallback_stamps_alerts(self):
         reg = MetricsRegistry()
-        c = reg.counter("retx")
+        good, bad = reg.counter("ok"), reg.counter("fail")
         monitor = AnomalyMonitor(reg, clock=lambda: 42.5)
-        monitor.add(RateShiftDetector(
-            "retx-rate", lambda: c.value, window=4, min_history=1,
-            min_events=1.0))
+        monitor.add(burn_detector(good, bad))
         monitor.poll()
-        c.inc(1)
-        monitor.poll()
-        c.inc(50)
+        bad.inc(10)
         alerts = monitor.poll()
         assert alerts and alerts[0].time == 42.5
 
@@ -259,32 +113,30 @@ class TestAnomalyMonitor:
 
     def test_alerts_table_renders(self):
         reg = MetricsRegistry()
-        c = reg.counter("retx")
+        good, bad = reg.counter("ok"), reg.counter("fail")
         monitor = AnomalyMonitor(reg)
-        monitor.add(RateShiftDetector(
-            "retx-rate", lambda: c.value, subject="engine.retx",
-            window=4, min_history=1, min_events=1.0))
+        monitor.add(burn_detector(good, bad, subject="engine.sessions"))
         monitor.poll(0.0)
-        monitor.poll(1.0)  # one judged poll seeds the baseline history
-        c.inc(9)
-        monitor.poll(2.0)
+        bad.inc(9)
+        monitor.poll(1.0)
         text = monitor.table(title="Test alerts")
         assert "Test alerts" in text
-        assert "retx-rate" in text
-        assert "engine.retx" in text
+        assert "burn" in text
+        assert "engine.sessions" in text
         assert alerts_table([]) .count("\n") >= 1  # renders empty too
 
     def test_same_inputs_identical_alert_stream(self):
         def run():
             reg = MetricsRegistry()
-            c = reg.counter("retx")
+            good, bad = reg.counter("ok"), reg.counter("fail")
             monitor = AnomalyMonitor(reg)
-            monitor.add(RateShiftDetector(
-                "retx-rate", lambda: c.value, window=4, min_history=2,
-                min_events=2.0))
-            for t in range(10):
-                c.inc(8 if t == 7 else 1)
+            monitor.add(burn_detector(good, bad, window=3))
+            for t in range(12):
+                good.inc(5)
+                bad.inc(5 if t in (4, 9) else 0)
                 monitor.poll(float(t))
             return [a.row() for a in monitor.alerts]
 
-        assert run() == run()
+        first = run()
+        assert len(first) == 2  # fires, re-arms on healthy polls, fires again
+        assert run() == first

@@ -63,13 +63,6 @@ class TestHistogram:
         assert h.sum == pytest.approx(111.2)
         assert h.mean == pytest.approx(111.2 / 5)
 
-    def test_cumulative_counts_monotone(self):
-        h = Histogram("h", buckets=(1.0, 2.0, 4.0))
-        for v in (0.5, 1.5, 3.0, 9.0):
-            h.observe(v)
-        cum = h.cumulative_counts()
-        assert cum == [1, 2, 3, 4]  # last entry is +Inf = count
-
     def test_boundary_value_counts_as_le(self):
         h = Histogram("h", buckets=(1.0, 2.0))
         h.observe(1.0)
@@ -128,53 +121,6 @@ class TestNullRegistry:
         NULL_METRICS.gauge("g").set(5)
         NULL_METRICS.histogram("h").observe(1.0)
         assert len(NULL_METRICS) == 0
-
-
-class TestHistogramQuantile:
-    def _hist(self):
-        h = Histogram("q", buckets=(1.0, 2.0, 4.0))
-        for v in (0.5, 0.5, 1.5, 1.5, 3.0, 3.0, 3.0, 3.0):
-            h.observe(v)
-        return h
-
-    def test_empty_returns_zero(self):
-        assert Histogram("q", buckets=(1.0,)).quantile(0.5) == 0.0
-
-    def test_interpolates_inside_bucket(self):
-        h = self._hist()
-        # rank 4 of 8 falls at the top of the (1, 2] bucket.
-        assert h.quantile(0.5) == pytest.approx(2.0)
-        # rank 2 is the upper edge of the (0, 1] bucket (2 of 2 ranks).
-        assert h.quantile(0.25) == pytest.approx(1.0)
-
-    def test_monotone_in_q(self):
-        h = self._hist()
-        qs = [h.quantile(q / 10) for q in range(11)]
-        assert qs == sorted(qs)
-
-    def test_overflow_bucket_reports_observed_max(self):
-        h = Histogram("q", buckets=(1.0, 2.0))
-        h.observe(100.0)  # lands in +Inf
-        assert h.quantile(0.99) == 100.0
-
-    def test_overflow_without_recorded_max_keeps_old_clamp(self):
-        # A histogram rebuilt positionally from a snapshot (the anomaly
-        # detectors do this) carries no min/max; its +Inf ranks fall
-        # back to the pre-min/max behaviour: the last finite bound.
-        h = Histogram("q", (1.0, 2.0), (), [0, 0, 1], 1, 100.0)
-        assert h.max is None
-        assert h.quantile(0.99) == 2.0
-
-    def test_invalid_q_rejected(self):
-        with pytest.raises(ValueError):
-            self._hist().quantile(1.5)
-        with pytest.raises(ValueError):
-            self._hist().quantile(-0.1)
-
-    def test_pool_percentiles_use_this_path(self):
-        # p50 <= p99 always, by monotonicity.
-        h = self._hist()
-        assert h.quantile(0.50) <= h.quantile(0.99)
 
 
 class TestHistogramMinMax:

@@ -167,6 +167,23 @@ class TestSnapshotRoundTrip:
         assert indices == sorted(indices)
 
 
+class TestQuantileInsideObservedRange:
+    """Every reported quantile lies inside the observed [min, max]: the
+    sketch is the one quantile primitive, so no published p50/p99 can
+    come from interpolating past the data."""
+
+    @given(st.lists(st.floats(min_value=0.0, max_value=1e9,
+                              allow_nan=False, allow_infinity=False),
+                    min_size=1, max_size=80),
+           st.floats(min_value=0.0, max_value=1.0))
+    @settings(max_examples=200, deadline=None)
+    def test_quantile_within_min_max(self, values, q):
+        s = QuantileSketch("lat")
+        for v in values:
+            s.observe(v)
+        assert min(values) <= s.quantile(q) <= max(values)
+
+
 class TestMergedQuantilePropertyBound:
     """ISSUE 9 satellite: property-test that merged-shard quantiles
     stay within the alpha bound of the global build for adversarial

@@ -78,7 +78,7 @@ class TestExports:
             assert hasattr(repro, entry)
 
     def test_version(self):
-        assert repro.__version__ == "1.8.0"
+        assert repro.__version__ == "1.9.0"
 
     @pytest.mark.skipif(sys.version_info < (3, 11), reason="tomllib is new in 3.11")
     def test_version_matches_pyproject(self):
